@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import random
 import socket
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, Mapping
@@ -182,8 +181,6 @@ class SessionOptions:
     session layer of :mod:`repro.net.session`: checksummed,
     acknowledged frames, reconnect-and-resume after drops, and - with a
     ``journal_dir`` - crash recovery from the on-disk round journal.
-    It replaces the deprecated ``resumable=`` / ``journal_dir=``
-    keyword sprawl on the one-shot verbs.
 
     Attributes:
         journal_dir: directory (or
@@ -197,39 +194,6 @@ class SessionOptions:
     journal_dir: Any = None
     config: Any = None
     journal_fsync: bool = True
-
-
-#: Deprecated-kwarg names already warned about (warn once per process).
-_SESSION_KWARG_WARNED: set[str] = set()
-
-
-def _coerce_session(
-    entry: str, resumable: bool, journal_dir: Any, session: SessionOptions | None
-) -> SessionOptions | None:
-    """Fold the legacy ``resumable=``/``journal_dir=`` kwargs into a
-    :class:`SessionOptions`, warning once per deprecated kwarg."""
-    if session is not None:
-        if resumable or journal_dir is not None:
-            raise ValueError(
-                "pass session=SessionOptions(...) or the legacy "
-                "resumable=/journal_dir= kwargs, not both"
-            )
-        return session
-    if not resumable and journal_dir is None:
-        return None
-    for kwarg, used in (
-        ("resumable", resumable),
-        ("journal_dir", journal_dir is not None),
-    ):
-        if used and kwarg not in _SESSION_KWARG_WARNED:
-            _SESSION_KWARG_WARNED.add(kwarg)
-            warnings.warn(
-                f"repro.{entry}({kwarg}=...) is deprecated; pass "
-                f"session=repro.SessionOptions(...) instead",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-    return SessionOptions(journal_dir=journal_dir)
 
 
 def _party_rngs(
@@ -1193,8 +1157,6 @@ def serve(
     engine: Any = None,
     recorder: Any = None,
     chunk_size: int | None = None,
-    resumable: bool = False,
-    journal_dir: Any = None,
     config: Any = None,
     async_: bool = False,
     session: SessionOptions | None = None,
@@ -1214,9 +1176,7 @@ def serve(
     session layer: checksummed frames, resume after disconnects,
     chunk-granular cursors when ``chunk_size`` is set, and - with a
     ``journal_dir`` - crash recovery from the on-disk round journal.
-    The older ``resumable=`` / ``journal_dir=`` kwargs still work but
-    are deprecated (warn-once); ``config`` overrides the session
-    config either way.
+    ``config`` overrides the session config.
 
     ``async_=True`` hosts the same one-session run on the event-loop
     server (:class:`~repro.net.server.ProtocolServer`): identical wire
@@ -1232,7 +1192,6 @@ def serve(
         params = PublicParams.for_bits(bits)
     if rng is None:
         rng = random.Random(seed)
-    opts = _coerce_session("serve", resumable, journal_dir, session)
     bound: dict[str, int] = {}
 
     def _capture(actual_port: int) -> None:
@@ -1244,18 +1203,18 @@ def serve(
         return _serve_async(
             spec, data, params, rng, host=host, port=port,
             ready_callback=_capture,
-            config=config if config is not None else (opts.config if opts else None),
+            config=config if config is not None else (session.config if session else None),
             engine=engine, recorder=recorder,
-            journal_dir=opts.journal_dir if opts else None,
+            journal_dir=session.journal_dir if session else None,
             chunk_size=chunk_size,
         )
-    if opts is not None:
+    if session is not None:
         size_v_r, stats = tcp.serve_resumable_sender(
             spec.name, data, params, rng, host=host, port=port,
             ready_callback=_capture,
-            config=config if config is not None else opts.config,
-            engine=engine, recorder=recorder, journal_dir=opts.journal_dir,
-            journal_fsync=opts.journal_fsync, chunk_size=chunk_size,
+            config=config if config is not None else session.config,
+            engine=engine, recorder=recorder, journal_dir=session.journal_dir,
+            journal_fsync=session.journal_fsync, chunk_size=chunk_size,
         )
         return ServeResult(size_v_r=size_v_r, port=bound["port"], stats=stats)
     catalog = Catalog(
@@ -1319,7 +1278,7 @@ def _serve_async(
     return ServeResult(
         size_v_r=record.result.size_v_r,
         port=bound_port,
-        stats=record.session.stats,
+        stats=record.stats,
     )
 
 
@@ -1335,8 +1294,6 @@ def connect(
     engine: Any = None,
     recorder: Any = None,
     chunk_size: int | None = None,
-    resumable: bool = False,
-    journal_dir: Any = None,
     config: Any = None,
     retry_busy: int = 0,
     retry: Any = None,
@@ -1352,10 +1309,9 @@ def connect(
     byte-identical to earlier releases.
 
     ``session=SessionOptions(...)`` connects under the fault-tolerant
-    session layer - it must match a resumable server. The older
-    ``resumable=`` / ``journal_dir=`` kwargs still work but are
-    deprecated (warn-once). ``chunk_size`` streams R's chunkable
-    outgoing rounds; inbound chunking is auto-detected either way.
+    session layer - it must match a resumable server. ``chunk_size``
+    streams R's chunkable outgoing rounds; inbound chunking is
+    auto-detected either way.
 
     ``retry_busy`` waits out up to that many typed busy refusals from
     a saturated or draining server, sleeping the server's own retry
@@ -1392,7 +1348,6 @@ def connect(
     spec = get_spec(protocol)
     if rng is None:
         rng = random.Random(seed)
-    opts = _coerce_session("connect", resumable, journal_dir, session)
     if retry is not None and retry_busy:
         raise ValueError("pass either retry= or retry_busy=, not both")
     if isinstance(retry, str):
@@ -1402,18 +1357,18 @@ def connect(
 
     catalog = (
         Catalog(data, params=None, rng=rng, engine=engine, recorder=recorder)
-        if opts is None
+        if session is None
         else None
     )
 
     def _attempt() -> ConnectResult:
-        if opts is not None:
+        if session is not None:
             answer, stats = tcp.connect_resumable_receiver(
                 spec.name, data, rng, host, port,
-                config=config if config is not None else opts.config,
+                config=config if config is not None else session.config,
                 engine=engine, recorder=recorder,
-                journal_dir=opts.journal_dir,
-                journal_fsync=opts.journal_fsync, chunk_size=chunk_size,
+                journal_dir=session.journal_dir,
+                journal_fsync=session.journal_fsync, chunk_size=chunk_size,
             )
             return ConnectResult(answer=answer, stats=stats)
         peer = catalog.connect(

@@ -58,6 +58,7 @@ from typing import Any, Callable, Iterable
 from . import serialization
 from .chaos import crash_point
 from .diskfaults import JournalIO
+from .session import _round_frames
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -607,23 +608,6 @@ def _fold_state(records: list[tuple], path: Path) -> JournalState:
         else:
             raise JournalError(f"{path}: unknown record {tag!r}")
     return state
-
-
-def _round_frames(machine: Any, rnd: Any, chunk_size: int | None) -> list:
-    """The full frame sequence one outbound round puts on the wire.
-
-    Mirrors the session layer's frame construction exactly: one
-    whole-round payload frame, or - when ``chunk_size`` chunks this
-    round - its chunk frames closed by a chunk-end frame.
-    """
-    if chunk_size is not None and rnd.chunkable:
-        payloads = list(machine.produce_chunks(rnd, chunk_size))
-        frames = [
-            serialization.chunk_frame(i, p) for i, p in enumerate(payloads)
-        ]
-        frames.append(serialization.chunk_end_frame(len(payloads)))
-        return frames
-    return [machine.produce(rnd).to_wire()]
 
 
 def _replay_machine(

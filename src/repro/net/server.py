@@ -78,6 +78,7 @@ from .session import (
     SenderSession,
     SessionAborted,
     SessionConfig,
+    SessionStats,
     seal,
     unseal,
 )
@@ -136,7 +137,11 @@ class SessionRecord:
     A record is born ``starting`` - the id is reserved and reconnects
     queue on its inbox - while the (possibly slow) journal lookup and
     replay run on the worker pool outside the supervisor lock; it
-    becomes ``running`` once a pool worker owns a live session.
+    becomes ``running`` once a pool worker owns a live session. When
+    the session ends the record keeps only its outcome (``status``,
+    ``result``, ``error`` and the final ``stats``): the session - its
+    party machine and round log - and its last transport are dropped,
+    so a long-lived server does not pin every session it ever served.
     """
 
     session_id: int
@@ -151,12 +156,11 @@ class SessionRecord:
     last_activity: float = field(default_factory=time.monotonic)
     aborted: bool = False
     current_transport: Any = None
+    stats: SessionStats | None = None
 
     def as_dict(self) -> dict[str, Any]:
         """Flat summary for logs and the metrics report."""
-        stats = (
-            self.session.stats.as_dict() if self.session is not None else {}
-        )
+        stats = self.stats.as_dict() if self.stats is not None else {}
         return {
             "session_id": self.session_id,
             "protocol": self.protocol,
@@ -678,6 +682,7 @@ class ProtocolServer:
             # queued clients must hear a reject, not a silent hang.
             self._fail_start(record, exc, quarantine=False)
             return
+        record.stats = record.session.stats
         record.status = "running"
         self._run_session(record)
 
@@ -825,12 +830,14 @@ class ProtocolServer:
             record.status = "done"
             record.result = state
         finally:
-            record.session.stats.finish()
+            record.stats.finish()
             if self.recorder is not None:
                 self.recorder.add_session(record.as_dict())
             journal = getattr(record.session, "journal", None)
             if journal is not None:
                 journal.close()
+            record.session = None
+            record.current_transport = None
             with self._finished:
                 self._finished.notify_all()
 

@@ -56,8 +56,17 @@ acknowledged and journaled - so the resume cursor becomes
 ``(round, chunk)``-granular: a reconnect or a recovered process
 restarts mid-round at the first chunk the peer lacks, and a round is
 durable only once its closing frame is journaled. Chunk production is
-double-buffered (:func:`repro.net.streaming.prefetch`): the crypto for
-chunk ``k+1`` overlaps the acknowledged send of chunk ``k``.
+double-buffered: the crypto for chunk ``k+1`` overlaps the
+acknowledged send of chunk ``k``.
+
+All of this is written once, sans I/O. :class:`SessionEndpoint`'s
+methods, the handshakes and the round log are generators that yield
+I/O requests and get the outcome back; :func:`drive` carries them out
+on a blocking transport (:class:`SenderSession`,
+:class:`ReceiverSession`, journal recovery) and
+:func:`repro.net.aio.adrive` on an asyncio stream
+(:class:`~repro.net.aio.AsyncReceiverSession`). A peer cannot tell
+which driver it talks to.
 """
 
 from __future__ import annotations
@@ -67,7 +76,7 @@ import time
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Generator
 
 from . import serialization
 from .channel import ChannelClosed
@@ -88,6 +97,7 @@ __all__ = [
     "SessionEndpoint",
     "SenderSession",
     "ReceiverSession",
+    "drive",
     "busy_backoff_s",
     "refusal_retry_hint_s",
     "seal",
@@ -444,88 +454,137 @@ class SessionStats:
         }
 
 
+#: End of a prefetched chunk stream: the reply to ``("next", source)``
+#: once the producer is exhausted.
+END = object()
+
+
+def drive(steps: Generator[tuple, Any, Any], transport: Any) -> Any:
+    """Run a session-core generator to completion on a blocking transport.
+
+    The session logic below is written once, sans I/O: its methods are
+    generators that yield I/O requests and receive the outcome back
+    (an exception is thrown in at the ``yield``). This is the blocking
+    driver; :func:`repro.net.aio.adrive` is the asyncio one.
+
+    * ``("send", frame)`` - ``transport.send(frame)``;
+    * ``("recv", timeout_s)`` - one frame off ``transport``, raising
+      ``TimeoutError`` when none arrives in time;
+    * ``("sleep", seconds)`` - back off;
+    * ``("call", fn, *args)`` - blocking machine work, run inline;
+    * ``("prefetch", iterable)`` - start a double-buffered producer
+      (:func:`~repro.net.streaming.prefetch`) and return its handle;
+    * ``("next", handle)`` - that producer's next item, or :data:`END`.
+
+    Producers still open when the generator finishes are closed, so an
+    abandoned stream stops its producer thread.
+    """
+    settimeout = getattr(transport, "settimeout", None)
+    sources: list = []
+    reply: Any = None
+    error: Exception | None = None
+    try:
+        while True:
+            try:
+                if error is not None:
+                    request = steps.throw(error)
+                else:
+                    request = steps.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            reply = error = None
+            kind = request[0]
+            try:
+                if kind == "send":
+                    transport.send(request[1])
+                elif kind == "recv":
+                    if settimeout is not None:
+                        settimeout(max(request[1], 1e-3))
+                    reply = transport.recv()
+                elif kind == "call":
+                    reply = request[1](*request[2:])
+                elif kind == "next":
+                    reply = next(request[1], END)
+                elif kind == "sleep":
+                    time.sleep(request[1])
+                else:  # "prefetch"
+                    reply = prefetch(request[1])
+                    sources.append(reply)
+            except Exception as exc:
+                error = exc
+    finally:
+        for source in sources:
+            source.close()
+        steps.close()
+
+
+def _worker_lost(stats: SessionStats, frame: tuple) -> WorkerLost:
+    """A routed front end lost our worker: fail typed, retryable."""
+    stats.worker_lost += 1
+    return WorkerLost(
+        f"server lost the session's worker: {frame[2]!r}",
+        retry_after_s=refusal_retry_hint_s(frame),
+    )
+
+
 class SessionEndpoint:
     """Reliable, checksummed stop-and-wait messaging on one connection.
 
-    Wraps any framed transport (``send``/``recv``/optional
-    ``settimeout``). Sequence cursors can be seeded from a session log
-    so a reconnected endpoint continues where the last one died.
+    Holds one connection's sequence cursors, seeded from a session log
+    so a reconnected endpoint continues where the last one died. Its
+    methods are generators of I/O requests: run them with
+    :func:`drive` on a blocking transport or with
+    :func:`repro.net.aio.adrive` on an asyncio stream.
     """
 
     def __init__(
         self,
-        transport: Any,
         config: SessionConfig,
         stats: SessionStats,
         rng: random.Random,
         send_seq: int = 0,
         recv_seq: int = 0,
     ):
-        self.transport = transport
         self.config = config
         self.stats = stats
         self.rng = rng
         self.send_seq = send_seq
         self.recv_seq = recv_seq
         self.fin_seen = False
-        #: Server hook: re-send the welcome when a retransmitted hello
-        #: arrives (the client missed our first welcome).
-        self.on_hello: Callable[[], None] | None = None
+        #: Server side: the sealed welcome to re-send when a
+        #: retransmitted hello arrives (the client missed the first).
+        self.welcome: tuple | None = None
         self._inbox: deque[tuple] = deque()
-
-    # ------------------------------------------------------------------
-    # Frame plumbing
-    # ------------------------------------------------------------------
-    def _read_frame(self, timeout: float) -> tuple:
-        """One unsealed frame, or raise the transport's failure."""
-        settimeout = getattr(self.transport, "settimeout", None)
-        if settimeout is not None:
-            settimeout(max(timeout, 1e-3))
-        return unseal(self.transport.recv())
-
-    def _send_control(self, *fields: Any) -> None:
-        self.transport.send(seal(*fields))
-
-    def _raise_worker_lost(self, frame: tuple) -> None:
-        """A routed front end lost our worker: fail typed, retryable."""
-        self.stats.worker_lost += 1
-        raise WorkerLost(
-            f"server lost the session's worker: {frame[2]!r}",
-            retry_after_s=refusal_retry_hint_s(frame),
-        )
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def send(self, payload: Any) -> None:
+    def send(self, payload: Any) -> Generator[tuple, Any, None]:
         """Ship one data frame reliably; advances the send cursor."""
         seq = self.send_seq
-        self._transmit_until_acked(seq, payload)
-        self.send_seq = seq + 1
-
-    def _transmit_until_acked(self, seq: int, payload: Any) -> None:
         wire = serialization.encode(payload)
         retry = self.config.retry
         for attempt in range(retry.max_attempts):
             if attempt:
                 self.stats.retransmits += 1
-                time.sleep(retry.delay_s(attempt - 1, self.rng))
-            self.transport.send(seal("msg", seq, wire))
+                yield ("sleep", retry.delay_s(attempt - 1, self.rng))
+            yield ("send", seal("msg", seq, wire))
             self.stats.frames_sent += 1
-            if self._wait_ack(seq):
+            if (yield from self._wait_ack(seq)):
+                self.send_seq = seq + 1
                 return
         raise SessionError(
             f"frame {seq} unacknowledged after {retry.max_attempts} attempts"
         )
 
-    def _wait_ack(self, seq: int) -> bool:
+    def _wait_ack(self, seq: int) -> Generator[tuple, Any, bool]:
         deadline = time.monotonic() + self.config.timeout_s
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 return False
             try:
-                frame = self._read_frame(remaining)
+                frame = unseal((yield ("recv", remaining)))
             except (TimeoutError, ChannelClosed):
                 return False
             except ValueError:
@@ -550,15 +609,15 @@ class SessionEndpoint:
                 self.fin_seen = True
                 return True  # a finished peer has everything
             if tag == "worker-lost" and len(frame) in (3, 4):
-                self._raise_worker_lost(frame)
-            if tag == "hello" and self.on_hello is not None:
-                self.on_hello()
+                raise _worker_lost(self.stats, frame)
+            if tag == "hello" and self.welcome is not None:
+                yield ("send", self.welcome)
             continue  # unknown tag: ignore
 
     # ------------------------------------------------------------------
     # Receiving
     # ------------------------------------------------------------------
-    def recv(self) -> Any:
+    def recv(self) -> Generator[tuple, Any, Any]:
         """One in-order data payload; acks, de-dups and naks en route."""
         config = self.config
         deadline = (
@@ -574,8 +633,8 @@ class SessionEndpoint:
                         f"timed out waiting for frame {self.recv_seq}"
                     )
                 try:
-                    frame = self._read_frame(
-                        min(remaining, config.timeout_s)
+                    frame = unseal(
+                        (yield ("recv", min(remaining, config.timeout_s)))
                     )
                 except (TimeoutError, ChannelClosed):
                     continue
@@ -584,16 +643,16 @@ class SessionEndpoint:
                     # frame; nak "whatever you last sent".
                     self.stats.checksum_failures += 1
                     self.stats.naks_sent += 1
-                    self._send_control("nak", -1)
+                    yield ("send", seal("nak", -1))
                     continue
             tag = frame[0]
             if tag == "fin":
                 self.fin_seen = True
                 continue
             if tag == "worker-lost" and len(frame) in (3, 4):
-                self._raise_worker_lost(frame)
-            if tag == "hello" and self.on_hello is not None:
-                self.on_hello()
+                raise _worker_lost(self.stats, frame)
+            if tag == "hello" and self.welcome is not None:
+                yield ("send", self.welcome)
                 continue
             if tag != "msg" or len(frame) != 3:
                 continue  # stray ack/nak
@@ -602,7 +661,7 @@ class SessionEndpoint:
                 self.stats.malformed_frames += 1
                 continue
             if seq == self.recv_seq:
-                self._send_control("ack", seq)
+                yield ("send", seal("ack", seq))
                 self.recv_seq += 1
                 self.stats.frames_received += 1
                 try:
@@ -614,7 +673,7 @@ class SessionEndpoint:
                     ) from exc
             if seq < self.recv_seq:
                 self.stats.duplicates_discarded += 1
-                self._send_control("ack", seq)  # our earlier ack was lost
+                yield ("send", seal("ack", seq))  # our earlier ack was lost
                 continue
             raise SessionError(
                 f"out-of-order frame {seq} (expected {self.recv_seq})"
@@ -623,14 +682,21 @@ class SessionEndpoint:
     # ------------------------------------------------------------------
     # Teardown
     # ------------------------------------------------------------------
-    def fin(self, session_id: int) -> None:
+    def fin(self, session_id: int) -> Generator[tuple, Any, None]:
         """Best-effort goodbye so the peer can stop waiting for acks."""
         try:
-            self._send_control("fin", session_id)
+            yield ("send", seal("fin", session_id))
         except _TRANSIENT:
             pass
 
-    def fin_wait(self, session_id: int) -> bool:
+    def _reack(self, frame: tuple) -> Generator[tuple, Any, None]:
+        """Re-ack a retransmitted data frame we already consumed."""
+        seq = frame[1] if frame[0] == "msg" and len(frame) == 3 else None
+        if isinstance(seq, int) and seq < self.recv_seq:
+            self.stats.duplicates_discarded += 1
+            yield ("send", seal("ack", seq))
+
+    def fin_wait(self, session_id: int) -> Generator[tuple, Any, bool]:
         """Send a fin and wait for the peer's fin echo.
 
         The final data ack and the fin itself can both be lost; a peer
@@ -644,9 +710,9 @@ class SessionEndpoint:
         retry = self.config.retry
         for attempt in range(retry.max_attempts):
             if attempt:
-                time.sleep(retry.delay_s(attempt - 1, self.rng))
+                yield ("sleep", retry.delay_s(attempt - 1, self.rng))
             try:
-                self._send_control("fin", session_id)
+                yield ("send", seal("fin", session_id))
             except _TRANSIENT:
                 return False
             deadline = time.monotonic() + self.config.timeout_s
@@ -655,7 +721,7 @@ class SessionEndpoint:
                 if remaining <= 0:
                     break  # resend the fin
                 try:
-                    frame = self._read_frame(remaining)
+                    frame = unseal((yield ("recv", remaining)))
                 except TimeoutError:
                     break
                 except _TRANSIENT:
@@ -665,17 +731,13 @@ class SessionEndpoint:
                 if frame[0] == "fin":
                     self.fin_seen = True
                     return True
-                if frame[0] == "msg" and len(frame) == 3:
-                    seq = frame[1]
-                    if isinstance(seq, int) and seq < self.recv_seq:
-                        self.stats.duplicates_discarded += 1
-                        try:
-                            self._send_control("ack", seq)
-                        except _TRANSIENT:
-                            return False
+                try:
+                    yield from self._reack(frame)
+                except _TRANSIENT:
+                    return False
         return False
 
-    def await_fin(self, grace_s: float) -> bool:
+    def await_fin(self, grace_s: float) -> Generator[tuple, Any, bool]:
         """Absorb frames until a fin arrives or the grace period ends.
 
         Re-acks duplicates meanwhile so a peer whose final ack was lost
@@ -687,21 +749,15 @@ class SessionEndpoint:
             if remaining <= 0:
                 break
             try:
-                frame = self._read_frame(remaining)
+                frame = unseal((yield ("recv", remaining)))
+                if frame[0] == "fin":
+                    self.fin_seen = True
+                else:
+                    yield from self._reack(frame)
             except _TRANSIENT:
                 break
             except ValueError:
                 continue
-            if frame[0] == "fin":
-                self.fin_seen = True
-            elif frame[0] == "msg" and len(frame) == 3:
-                seq = frame[1]
-                if isinstance(seq, int) and seq < self.recv_seq:
-                    self.stats.duplicates_discarded += 1
-                    try:
-                        self._send_control("ack", seq)
-                    except _TRANSIENT:
-                        break
         return self.fin_seen
 
 
@@ -736,6 +792,23 @@ def _split_journal(journal: Any) -> tuple[Any, Any]:
     )
 
 
+def _round_frames(machine: Any, rnd: Any, chunk_size: int | None) -> list:
+    """The full frame sequence one outbound round puts on the wire.
+
+    One whole-round payload frame, or - when ``chunk_size`` chunks this
+    round - its chunk frames closed by a chunk-end frame. Journal
+    replay recomputes rounds through this same function.
+    """
+    if chunk_size is not None and rnd.chunkable:
+        payloads = list(machine.produce_chunks(rnd, chunk_size))
+        frames: list = [
+            serialization.chunk_frame(i, p) for i, p in enumerate(payloads)
+        ]
+        frames.append(serialization.chunk_end_frame(len(payloads)))
+        return frames
+    return [machine.produce(rnd).to_wire()]
+
+
 class _RoundLog:
     """Frame-granular round log shared by both session roles.
 
@@ -754,6 +827,49 @@ class _RoundLog:
     #: frame. The sender instead counts one resume per reconnect.
     _resumed_per_replay = False
 
+    def __init__(
+        self,
+        protocol: str,
+        config: SessionConfig | None,
+        rng: random.Random,
+        recorder: Any,
+        chunk_size: int | None,
+        journal: Any,
+    ):
+        from ..protocols.spec import get_spec
+
+        self.protocol = protocol
+        self.spec = get_spec(protocol)
+        self.config = config or SessionConfig()
+        self.rng = rng
+        self.stats = SessionStats(protocol=protocol)
+        self.recorder = recorder
+        self.chunk_size = chunk_size
+        self._machine: Any = None
+        self._inbound: list[Any] = []
+        self._outbound: list[Any] = []
+        self._in_rounds: list[int] = []
+        self._out_rounds: list[int] = []
+        self._pending_frames: list[Any] | None = None
+        self._attempted_sends: set[int] = set()
+        self.journal, self._journal_dir = _split_journal(journal)
+
+    def _open_journal(self, role: str, session_id: int) -> None:
+        """Adopt a fresh per-session journal from the journal directory."""
+        from .journal import JournalError
+
+        journal = self._journal_dir.open_session(
+            role, self.protocol, session_id
+        )
+        if any(r[0] in ("in", "out", "done") for r in journal.records):
+            raise JournalError(
+                f"{journal.path}: a previous run already journaled rounds "
+                "for this session - recover it instead of restarting it"
+            )
+        if self.chunk_size is not None:
+            journal.record_meta("chunk_size", self.chunk_size)
+        self.journal = journal
+
     def _append_outbound(self, frame: Any) -> None:
         """Cache and journal one outgoing frame before it can be sent."""
         self._outbound.append(frame)
@@ -762,8 +878,8 @@ class _RoundLog:
                 len(self._outbound) - 1, serialization.encode(frame)
             )
 
-    def _rotate_quietly(self) -> None:
-        """Rotate the completed journal; tolerate a failed rename.
+    def _complete_journal(self) -> None:
+        """Record completion, then rotate; tolerate a failed rename.
 
         The completion record is already durable, so a rotation failure
         loses nothing: the ``*.wal`` still classifies as complete and
@@ -772,12 +888,18 @@ class _RoundLog:
         """
         from .journal import JournalError
 
+        if self.journal is None:
+            return
+        if not self.journal.complete:
+            self.journal.record_complete()
         try:
             self.journal.rotate()
         except JournalError:
             pass
 
-    def _ship(self, endpoint: SessionEndpoint, bound: int) -> None:
+    def _ship(
+        self, endpoint: SessionEndpoint, bound: int
+    ) -> Generator[tuple, Any, None]:
         """Send, in order, every cached frame below ``bound`` the peer
         has not acknowledged."""
         while endpoint.send_seq < bound:
@@ -791,11 +913,11 @@ class _RoundLog:
             if serialization.is_chunk_frame(frame):
                 self.stats.chunks_sent += 1
             crash_point("session.ship.frame")
-            endpoint.send(frame)
+            yield from endpoint.send(frame)
 
     def _produce_round(
         self, endpoint: SessionEndpoint, machine: Any, rnd: Any, index: int
-    ) -> None:
+    ) -> Generator[tuple, Any, None]:
         """Compute (if new), journal and ship outbound round ``index``."""
         if index >= len(self._out_rounds):
             if (
@@ -803,15 +925,17 @@ class _RoundLog:
                 and rnd.chunkable
                 and rnd.chunk_step is not None
             ):
-                self._produce_streaming(endpoint, machine, rnd)
+                yield from self._produce_streaming(endpoint, machine, rnd)
             else:
-                self._produce_whole(machine, rnd)
+                yield from self._produce_whole(machine, rnd)
             self._out_rounds.append(len(self._outbound))
             self._pending_frames = None
             self.stats.rounds_computed += 1
-        self._ship(endpoint, self._out_rounds[index])
+        yield from self._ship(endpoint, self._out_rounds[index])
 
-    def _produce_whole(self, machine: Any, rnd: Any) -> None:
+    def _produce_whole(
+        self, machine: Any, rnd: Any
+    ) -> Generator[tuple, Any, None]:
         """Compute a full round, then journal all its frames.
 
         Used for unchunked rounds and for chunked rounds without an
@@ -821,51 +945,39 @@ class _RoundLog:
         appends (a failed append must not recompute the round).
         """
         if self._pending_frames is None:
-            if self.chunk_size is not None and rnd.chunkable:
-                payloads = list(machine.produce_chunks(rnd, self.chunk_size))
-                frames: list = [
-                    serialization.chunk_frame(i, p)
-                    for i, p in enumerate(payloads)
-                ]
-                frames.append(serialization.chunk_end_frame(len(payloads)))
-            else:
-                frames = [machine.produce(rnd).to_wire()]
-            self._pending_frames = frames
+            self._pending_frames = yield (
+                "call", _round_frames, machine, rnd, self.chunk_size
+            )
         base = self._out_rounds[-1] if self._out_rounds else 0
         for frame in self._pending_frames[len(self._outbound) - base :]:
             self._append_outbound(frame)
 
     def _produce_streaming(
         self, endpoint: SessionEndpoint, machine: Any, rnd: Any
-    ) -> None:
+    ) -> Generator[tuple, Any, None]:
         """Stream a round: journal and ship it chunk by chunk.
 
         The chunk producer is rng-free and deterministic, so an
-        in-process retry recomputes the stream and skips the frames
-        already journaled. Production runs ahead on the prefetch
-        thread, overlapping chunk ``k+1``'s crypto with chunk ``k``'s
-        acknowledged send; the recorder (if any) gets the round's
-        produce/send/wall split for the pipeline-overlap report.
+        in-process retry or a reconnect recomputes the stream and skips
+        the frames already journaled. Production runs ahead on the
+        driver's prefetcher, overlapping chunk ``k+1``'s crypto with
+        chunk ``k``'s acknowledged send; the recorder (if any) gets the
+        round's produce/send/wall split for the pipeline-overlap report.
         """
         base = self._out_rounds[-1] if self._out_rounds else 0
         already = len(self._outbound) - base
         wall_start = time.perf_counter()
         send_s = 0.0
         timed = TimedIterator(machine.produce_chunks(rnd, self.chunk_size))
-        source = prefetch(timed)
+        source = yield ("prefetch", timed)
         count = 0
-        try:
-            for payload in source:
-                if count >= already:
-                    self._append_outbound(
-                        serialization.chunk_frame(count, payload)
-                    )
-                    begin = time.perf_counter()
-                    self._ship(endpoint, len(self._outbound))
-                    send_s += time.perf_counter() - begin
-                count += 1
-        finally:
-            source.close()
+        while (payload := (yield ("next", source))) is not END:
+            if count >= already:
+                self._append_outbound(serialization.chunk_frame(count, payload))
+                begin = time.perf_counter()
+                yield from self._ship(endpoint, len(self._outbound))
+                send_s += time.perf_counter() - begin
+            count += 1
         if already <= count:
             self._append_outbound(serialization.chunk_end_frame(count))
         if self.recorder is not None:
@@ -879,7 +991,7 @@ class _RoundLog:
 
     def _recv_round(
         self, endpoint: SessionEndpoint, machine: Any, rnd: Any, index: int
-    ) -> None:
+    ) -> Generator[tuple, Any, None]:
         """Receive (if incomplete) and consume inbound round ``index``.
 
         Frames a recovered process already journaled are folded first,
@@ -896,7 +1008,7 @@ class _RoundLog:
             if status != "partial":
                 break
             with machine.wait(rnd):
-                frame = endpoint.recv()
+                frame = yield from endpoint.recv()
             self._inbound.append(frame)
             if serialization.is_chunk_frame(frame):
                 self.stats.chunks_received += 1
@@ -906,9 +1018,9 @@ class _RoundLog:
                 )
             crash_point("session.recv.frame")
         if status == "single":
-            machine.consume(rnd, payload)
+            yield ("call", machine.consume, rnd, payload)
         else:
-            machine.consume_chunks(rnd, payload)
+            yield ("call", machine.consume_chunks, rnd, payload)
         self._in_rounds.append(len(self._inbound))
 
 
@@ -936,51 +1048,12 @@ class SenderSession(_RoundLog):
         journal: Any = None,
         chunk_size: int | None = None,
     ):
-        from ..protocols.spec import get_spec
-
-        self.protocol = protocol
-        self.spec = get_spec(protocol)
+        super().__init__(protocol, config, rng or random.Random(0),
+                         recorder, chunk_size, journal)
         self.params = params
-        self.config = config or SessionConfig()
-        self.rng = rng or random.Random(0)
-        self.stats = SessionStats(protocol=protocol)
-        self.recorder = recorder
-        self.chunk_size = chunk_size
         self._make_sender = make_sender
-        self._machine: Any = None
         self._session_id: int | None = None
-        self._inbound: list[Any] = []
-        self._outbound: list[Any] = []
-        self._in_rounds: list[int] = []
-        self._out_rounds: list[int] = []
-        self._pending_frames: list[Any] | None = None
-        self._attempted_sends: set[int] = set()
         self._complete = False
-        self.journal, self._journal_dir = _split_journal(journal)
-
-    def _attach_journal(self) -> None:
-        """Adopt a per-session journal once the session id is known.
-
-        Only relevant when constructed with a
-        :class:`~repro.net.journal.JournalDir`: the sender learns its
-        session id from the first hello, so the journal file (named by
-        that id) cannot exist before the handshake.
-        """
-        if self.journal is not None or self._journal_dir is None:
-            return
-        from .journal import JournalError
-
-        journal = self._journal_dir.open_session(
-            "sender", self.protocol, self._session_id
-        )
-        if any(r[0] in ("in", "out", "done") for r in journal.records):
-            raise JournalError(
-                f"{journal.path}: a previous run already journaled rounds "
-                "for this session - recover it instead of restarting it"
-            )
-        if self.chunk_size is not None:
-            journal.record_meta("chunk_size", self.chunk_size)
-        self.journal = journal
 
     def _ensure_machine(self) -> Any:
         if self._machine is None:
@@ -1003,8 +1076,9 @@ class SenderSession(_RoundLog):
             transport = None
             try:
                 transport = accept()
-                endpoint, client_next_recv = self._handshake(transport)
-                result = self._script(endpoint, client_next_recv)
+                endpoint, client_next_recv = drive(self._handshake(), transport)
+                result = drive(self._script(endpoint, client_next_recv),
+                               transport)
                 self.stats.finish()
                 return result
             except (HandshakeError, SessionAborted):
@@ -1024,21 +1098,20 @@ class SenderSession(_RoundLog):
                 if transport is not None:
                     _close_quietly(transport)
 
-    def _read_hello(self, transport: Any) -> tuple:
+    def _read_hello(self) -> Generator[tuple, Any, tuple]:
         """Wait for a valid hello, absorbing garbled or stray frames."""
         config = self.config
         deadline = (
             time.monotonic() + config.timeout_s * config.retry.max_attempts
         )
-        settimeout = getattr(transport, "settimeout", None)
         while True:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 raise SessionError("no valid hello before the deadline")
-            if settimeout is not None:
-                settimeout(max(min(remaining, config.timeout_s), 1e-3))
             try:
-                fields = unseal(transport.recv())
+                fields = unseal(
+                    (yield ("recv", min(remaining, config.timeout_s)))
+                )
             except TimeoutError:
                 continue
             except ValueError:
@@ -1048,41 +1121,36 @@ class SenderSession(_RoundLog):
                 return fields
             # Stray frame from the previous connection's tail: ignore.
 
-    def _handshake(self, transport: Any) -> tuple[SessionEndpoint, int]:
-        fields = self._read_hello(transport)
+    def _handshake(self) -> Generator[tuple, Any, tuple[SessionEndpoint, int]]:
+        fields = yield from self._read_hello()
         _, version, protocol, session_id, _next_send, next_recv = fields
         if version != SESSION_VERSION:
-            self._reject(transport, f"unsupported session version {version}")
+            yield from self._reject(f"unsupported session version {version}")
             raise HandshakeError(
                 f"client speaks session version {version}, "
                 f"this server speaks {SESSION_VERSION}"
             )
         if protocol != self.protocol:
-            self._reject(transport, f"protocol mismatch: serving {self.protocol}")
+            yield from self._reject(
+                f"protocol mismatch: serving {self.protocol}"
+            )
             raise HandshakeError(
                 f"client asked for {protocol!r}, serving {self.protocol!r}"
             )
         if self._session_id is None:
             self._session_id = session_id
-            self._attach_journal()
+            # The sender learns its session id from the first hello, so
+            # a per-session journal file cannot exist before it.
+            if self.journal is None and self._journal_dir is not None:
+                self._open_journal("sender", session_id)
         elif session_id != self._session_id:
-            self._reject(transport, "unknown session id")
+            yield from self._reject("unknown session id")
             raise SessionError(f"unknown session id {session_id}")
         if not isinstance(next_recv, int) or not 0 <= next_recv <= len(
             self._outbound
         ):
             raise SessionError(f"implausible client cursor {next_recv!r}")
-        welcome = seal(
-            "welcome",
-            SESSION_VERSION,
-            self.protocol,
-            self._session_id,
-            tuple(self.params.to_wire()),
-            len(self._inbound),
-        )
-        transport.send(welcome)
         endpoint = SessionEndpoint(
-            transport,
             self.config,
             self.stats,
             self.rng,
@@ -1091,16 +1159,26 @@ class SenderSession(_RoundLog):
         )
         # A lost welcome comes back as a retransmitted hello: answer
         # with the same welcome instead of tearing the connection down.
-        endpoint.on_hello = lambda: transport.send(welcome)
+        endpoint.welcome = seal(
+            "welcome",
+            SESSION_VERSION,
+            self.protocol,
+            self._session_id,
+            tuple(self.params.to_wire()),
+            len(self._inbound),
+        )
+        yield ("send", endpoint.welcome)
         return endpoint, next_recv
 
-    def _reject(self, transport: Any, reason: str) -> None:
+    def _reject(self, reason: str) -> Generator[tuple, Any, None]:
         try:
-            transport.send(seal("reject", SESSION_VERSION, reason))
+            yield ("send", seal("reject", SESSION_VERSION, reason))
         except _TRANSIENT:
             pass
 
-    def _script(self, endpoint: SessionEndpoint, client_next_recv: int) -> Any:
+    def _script(
+        self, endpoint: SessionEndpoint, client_next_recv: int
+    ) -> Generator[tuple, Any, Any]:
         machine = self._ensure_machine()
         if client_next_recv < len(self._outbound):
             # A reconnected client served from the cached frame log.
@@ -1108,19 +1186,17 @@ class SenderSession(_RoundLog):
         received = produced = 0
         for rnd in self.spec.rounds:
             if rnd.source == "R":
-                self._recv_round(endpoint, machine, rnd, received)
+                yield from self._recv_round(endpoint, machine, rnd, received)
                 received += 1
             else:
-                self._produce_round(endpoint, machine, rnd, produced)
+                yield from self._produce_round(endpoint, machine, rnd,
+                                               produced)
                 produced += 1
         self._complete = True
-        if self.journal is not None:
-            if not self.journal.complete:
-                self.journal.record_complete()
-            self._rotate_quietly()
-        if endpoint.await_fin(self.config.fin_grace_s):
+        self._complete_journal()
+        if (yield from endpoint.await_fin(self.config.fin_grace_s)):
             # Echo the fin so the lingering client can leave promptly.
-            endpoint.fin(self._session_id)
+            yield from endpoint.fin(self._session_id)
         return machine.state
 
 
@@ -1131,8 +1207,12 @@ class ReceiverSession(_RoundLog):
     round schedule with a persistent
     :class:`~repro.protocols.parties.ReceiverMachine` and caches every
     round payload, so a reconnect resumes mid-schedule instead of
-    restarting the run.
+    restarting the run. :class:`~repro.net.aio.AsyncReceiverSession`
+    runs this same logic on the asyncio driver.
     """
+
+    #: Legacy stat semantics: R counts a resumed round per replayed frame.
+    _resumed_per_replay = True
 
     def __init__(
         self,
@@ -1145,44 +1225,17 @@ class ReceiverSession(_RoundLog):
         journal: Any = None,
         chunk_size: int | None = None,
     ):
-        from ..protocols.spec import get_spec
-
-        self.protocol = protocol
-        self.spec = get_spec(protocol)
-        self.config = config or SessionConfig()
-        self.rng = rng or random.Random()
-        self.stats = SessionStats(protocol=protocol)
-        self.recorder = recorder
-        self.chunk_size = chunk_size
+        super().__init__(protocol, config, rng or random.Random(),
+                         recorder, chunk_size, journal)
         self.session_id = (
             session_id if session_id is not None else self.rng.getrandbits(63)
         )
         self._make_receiver = make_receiver
-        self._machine: Any = None
         self._params_wire: tuple | None = None
-        self._inbound: list[Any] = []
-        self._outbound: list[Any] = []
-        self._in_rounds: list[int] = []
-        self._out_rounds: list[int] = []
-        self._pending_frames: list[Any] | None = None
-        self._attempted_sends: set[int] = set()
-        self.journal, journal_dir = _split_journal(journal)
-        if journal_dir is not None:
+        if self._journal_dir is not None:
             # R picks its session id up front, so the per-session file
             # can be adopted immediately (unlike the sender's lazy path).
-            from .journal import JournalError
-
-            opened = journal_dir.open_session(
-                "receiver", self.protocol, self.session_id
-            )
-            if any(r[0] in ("in", "out", "done") for r in opened.records):
-                raise JournalError(
-                    f"{opened.path}: a previous run already journaled "
-                    "rounds for this session - recover it instead"
-                )
-            if self.chunk_size is not None:
-                opened.record_meta("chunk_size", self.chunk_size)
-            self.journal = opened
+            self._open_journal("receiver", self.session_id)
 
     def _ensure_machine(self) -> Any:
         if self._machine is None:
@@ -1207,49 +1260,53 @@ class ReceiverSession(_RoundLog):
             transport = None
             try:
                 transport = connect()
-                endpoint = self._handshake(transport)
-                answer = self._script(endpoint)
-                endpoint.fin_wait(self.session_id)
+                endpoint = drive(self._handshake(), transport)
+                answer = drive(self._script(endpoint), transport)
                 self.stats.finish()
                 return answer
             except (HandshakeError, SessionAborted):
                 raise
             except (SessionError, ValueError, *_TRANSIENT) as exc:
                 failures += 1
-                self.stats.reconnects += 1
-                if failures > self.config.max_reconnects:
-                    raise SessionError(
-                        f"receiver session gave up after {failures} failed "
-                        f"connections: {exc}"
-                    ) from exc
-                delay = self.config.retry.delay_s(failures - 1, self.rng)
-                hint = getattr(exc, "retry_after_s", None)
-                if hint is not None:
-                    # A worker-lost notice names its respawn window;
-                    # redialing earlier just burns a reconnect.
-                    delay = max(delay, busy_backoff_s(hint, self.rng))
-                time.sleep(delay)
+                time.sleep(self._redial_delay(exc, failures))
             finally:
                 if transport is not None:
                     _close_quietly(transport)
 
-    def _await_welcome(self, transport: Any, hello: tuple) -> tuple:
-        """Send the hello; retransmit it until a welcome (or reject)."""
+    def _redial_delay(self, exc: Exception, failures: int) -> float:
+        """Count a failed connection; the backoff before redialing.
+
+        Raises:
+            SessionError: ``failures`` exceeds ``config.max_reconnects``.
+        """
+        self.stats.reconnects += 1
+        if failures > self.config.max_reconnects:
+            raise SessionError(
+                f"receiver session gave up after {failures} failed "
+                f"connections: {exc}"
+            ) from exc
+        delay = self.config.retry.delay_s(failures - 1, self.rng)
+        hint = getattr(exc, "retry_after_s", None)
+        if hint is not None:
+            # A worker-lost notice names its respawn window;
+            # redialing earlier just burns a reconnect.
+            delay = max(delay, busy_backoff_s(hint, self.rng))
+        return delay
+
+    def _await_welcome(self, hello: tuple) -> Generator[tuple, Any, tuple]:
+        """Send the hello; retransmit it until a welcome (or refusal)."""
         config = self.config
-        settimeout = getattr(transport, "settimeout", None)
         for attempt in range(config.retry.max_attempts):
             if attempt:
                 self.stats.retransmits += 1
-            transport.send(hello)
+            yield ("send", hello)
             deadline = time.monotonic() + config.timeout_s
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     break  # resend the hello
-                if settimeout is not None:
-                    settimeout(max(remaining, 1e-3))
                 try:
-                    fields = unseal(transport.recv())
+                    fields = unseal((yield ("recv", remaining)))
                 except TimeoutError:
                     break
                 except ValueError:
@@ -1264,11 +1321,7 @@ class ReceiverSession(_RoundLog):
                 if fields[0] == "worker-lost" and len(fields) in (3, 4):
                     # The shard front end answered for a dead worker:
                     # retryable - the supervisor is respawning it.
-                    self.stats.worker_lost += 1
-                    raise WorkerLost(
-                        f"server lost the session's worker: {fields[2]!r}",
-                        retry_after_s=refusal_retry_hint_s(fields),
-                    )
+                    raise _worker_lost(self.stats, fields)
                 if fields[0] == "reject" and len(fields) == 3:
                     raise HandshakeError(
                         f"server rejected session: {fields[2]!r}"
@@ -1280,7 +1333,7 @@ class ReceiverSession(_RoundLog):
             f"no welcome after {config.retry.max_attempts} hellos"
         )
 
-    def _handshake(self, transport: Any) -> SessionEndpoint:
+    def _handshake(self) -> Generator[tuple, Any, SessionEndpoint]:
         next_recv = len(self._inbound)
         hello = seal(
             "hello",
@@ -1290,7 +1343,7 @@ class ReceiverSession(_RoundLog):
             len(self._attempted_sends),
             next_recv,
         )
-        fields = self._await_welcome(transport, hello)
+        fields = yield from self._await_welcome(hello)
         _, version, protocol, session_id, params_wire, server_next_recv = fields
         if version != SESSION_VERSION:
             raise HandshakeError(
@@ -1318,7 +1371,6 @@ class ReceiverSession(_RoundLog):
                 f"implausible server cursor {server_next_recv!r}"
             )
         return SessionEndpoint(
-            transport,
             self.config,
             self.stats,
             self.rng,
@@ -1326,23 +1378,18 @@ class ReceiverSession(_RoundLog):
             recv_seq=next_recv,
         )
 
-    #: Legacy stat semantics: R counts a resumed round per replayed frame.
-    _resumed_per_replay = True
-
-    def _script(self, endpoint: SessionEndpoint) -> Any:
+    def _script(self, endpoint: SessionEndpoint) -> Generator[tuple, Any, Any]:
         machine = self._ensure_machine()
-        machine.ensure_state()
+        yield ("call", machine.ensure_state)
         sent = received = 0
         for rnd in self.spec.rounds:
             if rnd.source == "R":
-                self._produce_round(endpoint, machine, rnd, sent)
+                yield from self._produce_round(endpoint, machine, rnd, sent)
                 sent += 1
             else:
-                self._recv_round(endpoint, machine, rnd, received)
+                yield from self._recv_round(endpoint, machine, rnd, received)
                 received += 1
-        answer = machine.finish()
-        if self.journal is not None:
-            if not self.journal.complete:
-                self.journal.record_complete()
-            self._rotate_quietly()
+        answer = yield ("call", machine.finish)
+        self._complete_journal()
+        yield from endpoint.fin_wait(self.session_id)
         return answer

@@ -4,16 +4,21 @@ Each run wires a seeded :class:`FaultInjector` into the resumable
 session helpers and asserts (a) the protocol answer is still exactly
 correct and (b) the session stats show the faults were actually hit
 and recovered from - retransmits for drops and corruption, reconnects
-and replayed frames for mid-frame disconnects.
+and replayed frames for mid-frame disconnects. The fault-class sweeps
+run party R on both session drivers: the blocking
+:class:`~repro.net.session.ReceiverSession` and the asyncio
+:class:`~repro.net.aio.AsyncReceiverSession`.
 """
 
 from __future__ import annotations
 
+import asyncio
 import random
 import threading
 
 import pytest
 
+from repro.net.aio import connect_receiver_async
 from repro.net.faults import FaultInjector, FaultPlan
 from repro.net.session import RetryPolicy, SessionConfig
 from repro.net.tcp import (
@@ -64,10 +69,34 @@ def _config() -> SessionConfig:
     )
 
 
+def _drivers(protocols):
+    """``(protocol, driver)`` params; the blocking driver keeps the bare
+    protocol id, the asyncio one adds ``-async``."""
+    return [
+        pytest.param(protocol, driver,
+                     id=protocol if driver == "sync" else f"{protocol}-async")
+        for driver in ("sync", "async")
+        for protocol in protocols
+    ]
+
+
+def _injected(plan, driver):
+    """A seeded injector and the ``_run`` kwarg placing it.
+
+    Faults go on the client's sends under the blocking driver. The
+    asyncio client owns its socket on the event loop, where a
+    :class:`~repro.net.faults.FaultyEndpoint` (which wraps blocking
+    transports) cannot reach, so there the plan hits the server's sends.
+    """
+    injector = FaultInjector(plan)
+    side = "client_injector" if driver == "sync" else "server_injector"
+    return injector, {side: injector}
+
+
 def _run(protocol, client_injector=None, server_injector=None, seed=0,
-         chunk_size=None):
+         chunk_size=None, driver="sync", config=None):
     v_r, v_s, expected = CASES[protocol]
-    config = _config()
+    config = config or _config()
     params = PublicParams.for_bits(128)
     ready = threading.Event()
     box: dict = {}
@@ -92,11 +121,18 @@ def _run(protocol, client_injector=None, server_injector=None, seed=0,
     assert ready.wait(timeout=10)
     if "error" in box:
         raise box["error"]
-    answer, client_stats = connect_resumable_receiver(
-        protocol, v_r, random.Random(seed + 2), "127.0.0.1", box["port"],
-        config=config, endpoint_wrapper=client_injector,
-        chunk_size=chunk_size,
-    )
+    if driver == "sync":
+        answer, client_stats = connect_resumable_receiver(
+            protocol, v_r, random.Random(seed + 2), "127.0.0.1", box["port"],
+            config=config, endpoint_wrapper=client_injector,
+            chunk_size=chunk_size,
+        )
+    else:
+        assert client_injector is None, "the async client has no wrapper"
+        answer, client_stats = asyncio.run(connect_receiver_async(
+            protocol, v_r, random.Random(seed + 2), "127.0.0.1", box["port"],
+            config=config, chunk_size=chunk_size,
+        ))
     thread.join(timeout=30)
     assert not thread.is_alive()
     if "error" in box:
@@ -108,11 +144,11 @@ def _run(protocol, client_injector=None, server_injector=None, seed=0,
 
 
 @pytest.mark.parametrize("fault_class", sorted(FAULT_CLASSES))
-@pytest.mark.parametrize("protocol", sorted(CASES))
-def test_protocol_completes_under_faults(protocol, fault_class):
+@pytest.mark.parametrize("protocol,driver", _drivers(sorted(CASES)))
+def test_protocol_completes_under_faults(protocol, driver, fault_class):
     plan = FAULT_CLASSES[fault_class]
-    injector = FaultInjector(plan)
-    client_stats, server_stats = _run(protocol, client_injector=injector)
+    injector, placed = _injected(plan, driver)
+    client_stats, server_stats = _run(protocol, driver=driver, **placed)
 
     if fault_class == "none":
         assert injector.stats.injected == 0
@@ -180,15 +216,16 @@ CHUNK_SIZE = 1
 
 
 @pytest.mark.parametrize("fault_class", sorted(FAULT_CLASSES))
-@pytest.mark.parametrize("protocol", ["intersection", "equijoin"])
-def test_chunked_stream_completes_under_faults(protocol, fault_class):
+@pytest.mark.parametrize("protocol,driver",
+                         _drivers(["intersection", "equijoin"]))
+def test_chunked_stream_completes_under_faults(protocol, driver, fault_class):
     """Every fault class, injected into a chunk-frame stream, still
     yields the exact answer - drops, corruption and disconnects at
     chunk boundaries retransmit or resume mid-round."""
     plan = FAULT_CLASSES[fault_class]
-    injector = FaultInjector(plan)
+    injector, placed = _injected(plan, driver)
     client_stats, server_stats = _run(
-        protocol, client_injector=injector, chunk_size=CHUNK_SIZE
+        protocol, driver=driver, chunk_size=CHUNK_SIZE, **placed
     )
 
     # The rounds genuinely streamed: both directions shipped multiple
@@ -275,3 +312,64 @@ class TestScriptedResumeStats:
         assert record["reconnects"] == 1
         assert record["replayed_frames"] >= 1
         assert record["elapsed_s"] > 0
+
+
+class _Recording:
+    """Server transport wrapper logging every frame the client sent."""
+
+    def __init__(self, transport, log):
+        self._transport = transport
+        self._log = log
+
+    def recv(self):
+        frame = self._transport.recv()
+        self._log.append(frame)
+        return frame
+
+    def __getattr__(self, name):
+        return getattr(self._transport, name)
+
+
+class TestDriverParity:
+    """The blocking and asyncio receivers run one session core, so a
+    seeded run puts the same bytes on the wire whichever drives it."""
+
+    def test_same_frames_and_stats_across_a_mid_round_disconnect(self):
+        # chunk_size=1 on the 3-element intersection: R computes all of
+        # m1 (3 chunks + chunk-end) before shipping it. skip=2 delivers
+        # the welcome and the ack of chunk 0, then kills the ack of
+        # chunk 1 - so the reconnect hello advertises 2 attempted of 4
+        # computed frames, and chunk 1 is replayed.
+        config = SessionConfig(
+            timeout_s=2.0,
+            retry=RetryPolicy(max_attempts=4, base_delay_s=0.01,
+                              max_delay_s=0.05),
+            max_reconnects=4,
+            fin_grace_s=2.0,
+        )
+        runs = {}
+        for driver in ("sync", "async"):
+            injector = FaultInjector(
+                FaultPlan(seed=4, disconnect_rate=1.0, max_faults=1, skip=2)
+            )
+            sent = []
+            client_stats, _server = _run(
+                "intersection", driver=driver, chunk_size=CHUNK_SIZE,
+                config=config,
+                server_injector=lambda ep, i=injector, log=sent: (
+                    _Recording(i(ep), log)
+                ),
+            )
+            assert injector.stats.disconnects == 1
+            counters = client_stats.as_dict()
+            del counters["elapsed_s"]
+            runs[driver] = (sent, counters)
+        sync_frames, sync_counters = runs["sync"]
+        async_frames, async_counters = runs["async"]
+        hellos = [f for f in sync_frames if f[0] == "hello"]
+        assert [h[4] for h in hellos] == [0, 2]  # attempted, not computed
+        assert sync_counters["reconnects"] == 1
+        assert sync_counters["replayed_frames"] == 1
+        assert sync_counters["rounds_resumed"] == 1
+        assert async_frames == sync_frames
+        assert async_counters == sync_counters

@@ -62,7 +62,7 @@ class TestServeAsync:
         assert port_ready.wait(10)
         connected = repro.connect(
             "intersection", v_r, seed=2, port=bound["port"],
-            resumable=True, config=_config(),
+            session=repro.SessionOptions(), config=_config(),
         )
         thread.join(timeout=15)
         assert not thread.is_alive()
@@ -81,7 +81,7 @@ class TestServeAsync:
         def serve():
             repro.serve(
                 "intersection", v_s, bits=BITS, seed=3, async_=True,
-                journal_dir=tmp_path,
+                session=repro.SessionOptions(journal_dir=tmp_path),
                 ready_callback=lambda p: (bound.update(port=p),
                                           port_ready.set()),
                 config=_config(),
@@ -92,7 +92,7 @@ class TestServeAsync:
         assert port_ready.wait(10)
         connected = repro.connect(
             "intersection", v_r, seed=4, port=bound["port"],
-            resumable=True, config=_config(),
+            session=repro.SessionOptions(), config=_config(),
         )
         thread.join(timeout=15)
         assert sorted(connected.answer) == ["b"]
@@ -122,7 +122,7 @@ class TestConnectRetryBusy:
             )
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                resumable=True, config=_config(), retry_busy=40,
+                session=repro.SessionOptions(), config=_config(), retry_busy=40,
             )
             holder.close()
         assert sorted(connected.answer) == ["b", "c"]
@@ -147,7 +147,7 @@ class TestConnectUnifiedRetry:
         with server:
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                resumable=True, retry="attempts=4,timeout=5,base=0.02",
+                session=repro.SessionOptions(), retry="attempts=4,timeout=5,base=0.02",
             )
         assert sorted(connected.answer) == ["b", "c"]
         assert connected.retries == 0  # first attempt landed
@@ -176,7 +176,7 @@ class TestConnectUnifiedRetry:
             )
             connected = repro.connect(
                 "intersection", ["a", "b", "c"], seed=5, port=server.port,
-                resumable=True, config=_config(),
+                session=repro.SessionOptions(), config=_config(),
                 retry=ClientRetryPolicy(
                     max_attempts=40, base_delay_s=0.02, max_delay_s=0.2
                 ),
@@ -198,5 +198,5 @@ class TestConnectUnifiedRetry:
             with pytest.raises(ServerBusyError):
                 repro.connect(
                     "intersection", ["a", "b"], seed=5, port=server.port,
-                    resumable=True, retry="busy=no,timeout=2",
+                    session=repro.SessionOptions(), retry="busy=no,timeout=2",
                 )

@@ -208,6 +208,28 @@ def test_reconnect_routes_to_owning_session(params):
     assert record["status"] == "done"
 
 
+def test_finished_record_keeps_its_outcome_not_its_session(params):
+    """A done record drops the SenderSession (party machine + round
+    log) and its last transport, but still reports the outcome."""
+    server = ProtocolServer(
+        _offers(params), max_sessions=2, config=_config()
+    ).start()
+    try:
+        answer, _stats = _client(server.port, "intersection", seed=5)
+    finally:
+        server.shutdown(drain_timeout_s=2.0)
+    assert answer == {f"c{i}" for i in range(N // 2)}
+    (record,) = server.sessions.values()
+    assert record.status == "done"
+    assert record.session is None
+    assert record.current_transport is None
+    assert record.result.size_v_r == N
+    assert record.stats.frames_received > 0
+    (summary,) = server.results()
+    assert summary["frames_received"] == record.stats.frames_received
+    assert summary["rounds_computed"] == 1
+
+
 # ----------------------------------------------------------------------
 # Supervision: deadlines, reaping, drain
 # ----------------------------------------------------------------------

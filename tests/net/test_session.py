@@ -21,6 +21,7 @@ from repro.net.session import (
     SessionError,
     SessionStats,
     WorkerLost,
+    drive,
     refusal_retry_hint_s,
     seal,
     unseal,
@@ -91,10 +92,26 @@ def _endpoint_pair(timeout_s=0.5, max_attempts=3):
         retry=RetryPolicy(max_attempts=max_attempts, base_delay_s=0.01,
                           max_delay_s=0.02),
     )
-    session_side = SessionEndpoint(
-        SocketEndpoint(sock=raw_a), config, SessionStats(), random.Random(0)
+    session_side = _Driven(
+        SessionEndpoint(config, SessionStats(), random.Random(0)),
+        SocketEndpoint(sock=raw_a),
     )
     return session_side, SocketEndpoint(sock=raw_b)
+
+
+class _Driven:
+    """A SessionEndpoint whose generator methods run on the blocking
+    driver over one transport, so tests call them like plain methods."""
+
+    def __init__(self, endpoint, transport):
+        self._endpoint = endpoint
+        self._transport = transport
+
+    def __getattr__(self, name):
+        attr = getattr(self._endpoint, name)
+        if not callable(attr):
+            return attr
+        return lambda *args: drive(attr(*args), self._transport)
 
 
 class TestSessionEndpoint:
@@ -206,7 +223,7 @@ class TestHandshake:
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", 99, "intersection", 1, 0, 0))
         with pytest.raises(HandshakeError, match="version"):
-            server._handshake(SocketEndpoint(sock=raw_a))
+            drive(server._handshake(), SocketEndpoint(sock=raw_a))
         reject = unseal(client.recv())
         assert reject[0] == "reject"
 
@@ -220,7 +237,7 @@ class TestHandshake:
             seal("hello", SESSION_VERSION, "equijoin", 1, 0, 0)
         )
         with pytest.raises(HandshakeError, match="protocol|equijoin"):
-            server._handshake(SocketEndpoint(sock=raw_a))
+            drive(server._handshake(), SocketEndpoint(sock=raw_a))
         assert unseal(client.recv())[0] == "reject"
 
     def test_valid_hello_answered_with_welcome(self):
@@ -230,7 +247,7 @@ class TestHandshake:
         server = self._server_session()
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", SESSION_VERSION, "intersection", 77, 0, 0))
-        endpoint, next_recv = server._handshake(SocketEndpoint(sock=raw_a))
+        endpoint, next_recv = drive(server._handshake(), SocketEndpoint(sock=raw_a))
         assert next_recv == 0
         welcome = unseal(client.recv())
         assert welcome[0] == "welcome"
@@ -246,7 +263,7 @@ class TestHandshake:
         client = SocketEndpoint(sock=raw_b)
         client.send(seal("hello", SESSION_VERSION, "intersection", 1, 0, 5))
         with pytest.raises(SessionError, match="cursor"):
-            server._handshake(SocketEndpoint(sock=raw_a))
+            drive(server._handshake(), SocketEndpoint(sock=raw_a))
 
     def test_garbled_hello_absorbed_then_accepted(self):
         """A corrupted hello does not kill the connection: the server
@@ -259,7 +276,7 @@ class TestHandshake:
         good = seal("hello", SESSION_VERSION, "intersection", 5, 0, 0)
         client.send((good[0], 99, *good[2:]))  # fails the checksum
         client.send(good)
-        _endpoint, next_recv = server._handshake(SocketEndpoint(sock=raw_a))
+        _endpoint, next_recv = drive(server._handshake(), SocketEndpoint(sock=raw_a))
         assert next_recv == 0
         assert server.stats.checksum_failures == 1
 
